@@ -74,7 +74,7 @@ class Link:
         while True:
             packet, done = yield self._queue.get()
             delay = self.serialization_delay(packet)
-            yield self.sim.timeout(delay)
+            yield delay
             self.busy_time += delay
             self.tx_packets += 1
             self.tx_bytes += packet.wire_size

@@ -72,7 +72,7 @@ class Disk:
             request = yield self._queue.get()
             sequential = request.offset == self._next_contiguous
             service = self.costs.disk_op_cost(request.nbytes, sequential=sequential)
-            yield self.sim.timeout(service)
+            yield service
             self._next_contiguous = request.offset + request.nbytes
             self.busy_time += service
             self.service_stat.add(service)

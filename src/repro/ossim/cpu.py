@@ -9,9 +9,10 @@ The CPU serves three bands (see :mod:`repro.ossim.task`):
 * ``BAND_USER`` — user tasks, time-sliced round-robin.
 
 Work is submitted as ``(task, seconds, mode)`` items; the returned
-waitable triggers with a ``(start, end)`` tuple when the cumulative grant
-reaches the requested amount, letting callers backfill precise per-layer
-event timestamps for contiguous segments.
+waitable (the :class:`WorkItem` itself) triggers with a ``(start, end)``
+tuple when the cumulative grant reaches the requested amount, letting
+callers backfill precise per-layer event timestamps for contiguous
+segments.
 """
 
 from collections import deque
@@ -25,19 +26,24 @@ from repro.ossim import tracepoints as tp
 _EPSILON = 1e-12
 
 
-class WorkItem:
+class WorkItem(Waitable):
+    """One CPU charge, and its own completion waitable."""
+
     __slots__ = (
-        "task", "remaining", "total", "mode", "band", "done",
+        "task", "remaining", "total", "mode", "band",
         "started_at", "submitted_at", "attribution",
     )
 
-    def __init__(self, task, amount, mode, band, done, submitted_at, attribution):
+    def __init__(self, sim, task, amount, mode, band, submitted_at, attribution):
+        # Waitable.__init__, inlined: one of these is made per charge.
+        self.sim = sim
+        self.triggered = False
+        self._callbacks = None
         self.task = task
         self.remaining = amount
         self.total = amount
         self.mode = mode
         self.band = band
-        self.done = done
         self.started_at = None
         self.submitted_at = submitted_at
         # Ledger category tag: None (default by task/mode), a category
@@ -84,18 +90,17 @@ class Cpu:
             raise ValueError("negative CPU demand: {}".format(amount))
         if band is None:
             band = task.band if task is not None else BAND_IRQ
-        done = Waitable(self.sim)
+        sim = self.sim
         if amount <= _EPSILON:
-            done.succeed((self.sim.now, self.sim.now))
-            return done
-        item = WorkItem(task, amount, mode, band, done, self.sim.now, attribution)
+            return Waitable(sim).succeed((sim.now, sim.now))
+        item = WorkItem(sim, task, amount, mode, band, sim.now, attribution)
         self._queues[band].append(item)
         running = self._running
         if running is None:
             self._wakeup.fire()
         elif band < running.band:
             self._proc.interrupt("preempt")
-        return done
+        return item
 
     @property
     def run_queue_length(self):
@@ -150,7 +155,7 @@ class Cpu:
             preempted = False
             full_overhead = overhead
             try:
-                yield sim.timeout(overhead + slice_target)
+                yield overhead + slice_target
                 ran = slice_target
             except Interrupt:
                 elapsed = sim.now - start
@@ -171,7 +176,7 @@ class Cpu:
             if item.remaining <= _EPSILON:
                 if item.task is not None and item.task.state == TASK_RUNNING:
                     item.task.state = TASK_READY
-                item.done.succeed((item.started_at, sim.now))
+                item.succeed((item.started_at, sim.now))
             elif preempted:
                 self._queues[item.band].appendleft(item)
             else:

@@ -22,7 +22,8 @@ Storage is split four ways (``docs/performance.md``):
 * three same-time FIFO *fast lanes*, one per priority band, fed by
   ``call_soon()`` / ``schedule(0.0, ...)``;
 * a *delivery lane* of immutable ``(seq, fn, arg)`` tuples for handle-less
-  Waitable callback delivery — the single hottest path in the tree.
+  Waitable callback delivery, which most process wakeups skip when
+  :meth:`Simulator._resumable` allows (``sim/process.py``).
 
 The split is an implementation detail: every entry still carries its
 ``(time, priority, seq)`` key and the dispatch loop always pops the
@@ -159,10 +160,12 @@ class HeapStore:
         heap = self.heap
         return heap[0] if heap else None
 
-    def push(self, when, priority, seq, fn, args, sim):
+    def push(self, when, priority, seq, fn, args, sim=None):
+        """Insert an entry; returns a :class:`Handle` when ``sim`` is given."""
         entry = [when, priority, seq, args, fn]
         heappush(self.heap, entry)
-        return Handle(sim, entry)
+        if sim is not None:
+            return Handle(sim, entry)
 
     def live_head(self):
         """The minimum live entry, discarding cancelled heads."""
@@ -276,7 +279,8 @@ class CalendarQueue:
         self._free.extend(range(2 * cap - 1, cap, -1))
         return cap
 
-    def push(self, when, priority, seq, fn, args, sim):
+    def push(self, when, priority, seq, fn, args, sim=None):
+        """Insert an entry; returns a :class:`SlotHandle` when ``sim`` is given."""
         free = self._free
         slot = free.pop() if free else self._grow()
         self._fns[slot] = fn
@@ -308,7 +312,8 @@ class CalendarQueue:
             heappush(self._overflow, key)
             self.spills += 1
         self.size += 1
-        return SlotHandle(self, slot, self._gens[slot])
+        if sim is not None:
+            return SlotHandle(self, slot, self._gens[slot])
 
     def pop_live(self):
         """Pop the head entry and free its slot.
@@ -477,17 +482,13 @@ class Waitable:
     so the per-waitable cost on the hot path is two attribute writes.
     """
 
-    __slots__ = ("sim", "_done", "_ok", "_value", "_callbacks", "_defused")
+    __slots__ = ("sim", "triggered", "_ok", "_value", "_callbacks", "_defused")
 
     def __init__(self, sim):
         self.sim = sim
-        self._done = False
+        #: True once the waitable has succeeded or failed.
+        self.triggered = False
         self._callbacks = None
-
-    @property
-    def triggered(self):
-        """True once the waitable has succeeded or failed."""
-        return self._done
 
     @property
     def ok(self):
@@ -507,7 +508,7 @@ class Waitable:
 
     def add_callback(self, fn):
         """Run ``fn(self)`` when the waitable triggers."""
-        if self._done:
+        if self.triggered:
             self.sim._soon1(fn, self)
             return
         cbs = self._callbacks
@@ -520,7 +521,7 @@ class Waitable:
 
     def discard_callback(self, fn):
         """Remove a pending callback if present (used by interrupts)."""
-        if self._done:
+        if self.triggered:
             return
         cbs = self._callbacks
         if cbs is None:
@@ -535,9 +536,9 @@ class Waitable:
 
     def succeed(self, value=None):
         """Trigger successfully with ``value``."""
-        if self._done:
+        if self.triggered:
             raise StaleWaitable("waitable triggered twice: {!r}".format(self))
-        self._done = True
+        self.triggered = True
         self._ok = True
         self._value = value
         cbs = self._callbacks
@@ -562,9 +563,9 @@ class Waitable:
         """Trigger with exception ``exc``; waiters will see it raised."""
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self._done:
+        if self.triggered:
             raise StaleWaitable("waitable triggered twice: {!r}".format(self))
-        self._done = True
+        self.triggered = True
         self._ok = False
         self._value = exc
         cbs = self._callbacks
@@ -613,7 +614,7 @@ class AnyOf(Waitable):
             child.add_callback(self._on_child)
 
     def _on_child(self, child):
-        if self._done:
+        if self.triggered:
             return
         if child.ok:
             self.succeed(child)
@@ -637,7 +638,7 @@ class AllOf(Waitable):
             child.add_callback(self._on_child)
 
     def _on_child(self, child):
-        if self._done:
+        if self.triggered:
             return
         if not child.ok:
             self.fail(child.value)
@@ -746,6 +747,17 @@ class Simulator:
             self._dq.append((seq, fn, arg))
         else:
             self.schedule(0.0, fn, arg)
+
+    def _resumable(self):
+        """True if a delivery-lane entry taken now, ranking ``(now,
+        PRIORITY_NORMAL, newest seq)``, would dispatch next, so its
+        callback may run at once instead.  A cancelled store head only
+        makes this False, which is safe.  Without the fast lane every seq
+        must go through :meth:`schedule`, so it is always False."""
+        if not self._fast or self._dq or self._lanes[0] or self._lanes[1]:
+            return False
+        head = self._store.head
+        return head is None or head[0] > self.now or head[1] >= PRIORITY_LOW
 
     def _note_cancel(self):
         """Count a Handle cancel and let the store run its purge policy."""
@@ -858,17 +870,6 @@ class Simulator:
             pool.append(entry)
         fn(*args)
         return True
-
-    def peek(self):
-        """Time of the next pending event, or ``None`` if nothing is queued."""
-        if self._dq:
-            return self.now
-        for lane in self._lanes:
-            for entry in lane:
-                if entry[4] is not None:
-                    return entry[0]
-        key = self._store.live_head()
-        return key[0] if key is not None else None
 
     def step(self):
         """Process exactly one pending event.  Returns False if none remain."""
@@ -1009,24 +1010,6 @@ class Simulator:
         """Pure-store reference drain loop (``fast_lane=False``)."""
         store = self._store
         now = self.now
-        if type(store) is HeapStore:
-            # Inlined for parity with the historical single-heap engine.
-            heap = store.heap
-            while True:
-                while heap and heap[0][4] is None:
-                    heappop(heap)
-                if not heap:
-                    break
-                entry = heap[0]
-                when = entry[0]
-                if until is not None and when > until:
-                    break
-                heappop(heap)
-                if when < now:
-                    raise SimError("time went backwards: {} < {}".format(when, now))
-                self.now = now = when
-                entry[4](*entry[3])
-            return
         while True:
             key = store.live_head()
             if key is None:

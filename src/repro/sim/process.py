@@ -1,26 +1,38 @@
 """Generator-based simulation processes.
 
-A process is a Python generator that yields :class:`~repro.sim.engine.Waitable`
-instances.  The process suspends until the yielded waitable triggers; its
+A process is a Python generator that yields either a
+:class:`~repro.sim.engine.Waitable` or a bare delay (an ``int`` or
+``float`` number of simulated seconds, never a ``bool``).  The process
+suspends until the waitable triggers or the delay elapses.  A waitable's
 success value is sent back into the generator (``x = yield some_waitable``)
-and a failure is raised at the yield point.
+and a failure is raised at the yield point; a delay sends back ``None``,
+exactly like ``yield sim.timeout(delay)``.
+
+A bare delay makes no :class:`~repro.sim.engine.Timeout`, only a
+handle-less timer whose seq is the process's wakeup token.  When it
+fires, or when the process yields an already-triggered waitable, the
+wakeup takes the seq the delivery-lane hop would take and resumes at once
+if nothing pending ranks before it
+(:meth:`~repro.sim.engine.Simulator._resumable`), or else joins the
+delivery lane.  Dispatch order and seqs are those of the waitable path.
 
 Processes are themselves waitables: they trigger with the generator's
-return value, or fail with its uncaught exception.  A process blocked on a
-waitable can be interrupted, which raises :class:`~repro.sim.errors.Interrupt`
-inside it — the building block for preemptive CPU scheduling.
+return value, or fail with its uncaught exception.  A process blocked on
+a waitable or a delay can be interrupted, which raises
+:class:`~repro.sim.errors.Interrupt` inside it — the building block for
+preemptive CPU scheduling.
 """
 
 import types
 
-from repro.sim.engine import Waitable
+from repro.sim.engine import PRIORITY_NORMAL, Waitable
 from repro.sim.errors import Interrupt, SimError
 
 
 class Process(Waitable):
     """A running simulation process.  Create via :meth:`Simulator.process`."""
 
-    __slots__ = ("name", "_gen", "_target", "_started")
+    __slots__ = ("name", "_gen", "_target", "_token", "_started")
 
     def __init__(self, sim, generator, name=None):
         if not isinstance(generator, types.GeneratorType):
@@ -31,11 +43,13 @@ class Process(Waitable):
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
         self._target = None
+        self._token = None  # seq of the pending bare-delay timer
         self._started = False
         sim._soon1(self._start, None)
 
     def __repr__(self):
-        state = "done" if self.triggered else ("waiting" if self._target else "new")
+        waiting = self._target is not None or self._token is not None
+        state = "done" if self.triggered else ("waiting" if waiting else "new")
         return "<Process {} [{}]>".format(self.name, state)
 
     @property
@@ -48,39 +62,76 @@ class Process(Waitable):
         if self.triggered:  # interrupted before first step
             return
         self._started = True
-        self._advance(send_value=None)
+        self._advance()
 
     def _advance(self, send_value=None, throw_exc=None):
-        try:
-            if throw_exc is not None:
-                target = self._gen.throw(throw_exc)
+        sim = self.sim
+        gen = self._gen
+        while True:
+            try:
+                if throw_exc is not None:
+                    target = gen.throw(throw_exc)
+                else:
+                    target = gen.send(send_value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            if isinstance(target, Waitable):
+                if target.triggered and sim._resumable():
+                    # Take the seq the callback hop would, and resume now.
+                    sim._seqn += 1
+                    if target._ok:
+                        send_value, throw_exc = target._value, None
+                    else:
+                        throw_exc = target._value
+                    continue
+                self._target = target
+                target.add_callback(self._on_target)
+                return
+            if target.__class__ is bool or not isinstance(target, (int, float)):
+                problem = "a non-waitable"
+            elif target < 0:
+                problem = "a negative delay"
             else:
-                target = self._gen.send(send_value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+                seq = self._token = sim._seqn + 1
+                if sim._fast:  # handle-less; the timer passes its seq back
+                    sim._seqn = seq
+                    sim._store.push(sim.now + target, PRIORITY_NORMAL, seq, self._wake, (seq,))
+                else:
+                    sim.schedule(target, self._wake, seq)
+                return
+            gen.close()
+            self.fail(SimError("process {} yielded {}: {!r}".format(self.name, problem, target)))
             return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Waitable):
-            self._gen.close()
-            self.fail(
-                SimError(
-                    "process {} yielded a non-waitable: {!r}".format(self.name, target)
-                )
-            )
-            return
-        self._target = target
-        target.add_callback(self._on_target)
 
     def _on_target(self, waitable):
         if waitable is not self._target or self.triggered:
             return  # stale wakeup after an interrupt
         self._target = None
-        if waitable.ok:
-            self._advance(send_value=waitable.value)
+        if waitable._ok:
+            self._advance(waitable._value)
         else:
-            self._advance(throw_exc=waitable.value)
+            self._advance(None, waitable._value)
+
+    def _wake(self, token):
+        """Timer fire of a bare delay: resume now, or queue the resume."""
+        if token != self._token:
+            return  # stale timer after an interrupt
+        sim = self.sim
+        if sim._resumable():
+            sim._seqn += 1
+            self._token = None
+            self._advance()
+        else:
+            sim._soon1(self._resume, token)
+
+    def _resume(self, token):
+        if token == self._token:
+            self._token = None
+            self._advance()
 
     # ------------------------------------------------------------------
 
@@ -88,8 +139,8 @@ class Process(Waitable):
         """Raise :class:`Interrupt` inside the process at its yield point.
 
         Safe to call at any moment before the process finishes; interrupting
-        a finished process is a no-op.  The waitable the process was blocked
-        on keeps running but its eventual trigger is ignored.
+        a finished process is a no-op.  The waitable or timer the process
+        was blocked on keeps running but its eventual trigger is ignored.
         """
         if self.triggered:
             return
@@ -104,6 +155,7 @@ class Process(Waitable):
             self.succeed(None)
             return
         target, self._target = self._target, None
+        self._token = None
         if target is not None:
             target.discard_callback(self._on_target)
         self._advance(throw_exc=Interrupt(cause))

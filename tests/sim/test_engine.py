@@ -88,13 +88,6 @@ def test_step_processes_single_event(sim):
     assert not sim.step()
 
 
-def test_peek_skips_cancelled(sim):
-    handle = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    handle.cancel()
-    assert sim.peek() == 2.0
-
-
 def test_schedule_at_absolute_time(sim):
     fired = []
     sim.schedule(1.0, lambda: sim.schedule_at(5.0, fired.append, "later"))

@@ -87,13 +87,6 @@ def test_call_soon_interleaves_with_heap_entries_by_seq(sim):
     assert order == ["irq", "lane-a", "lane-b", "heap-now", "heap-later"]
 
 
-def test_peek_sees_lane_entries(sim):
-    sim.schedule(4.0, lambda: None)
-    assert sim.peek() == 4.0
-    sim.call_soon(lambda: None)
-    assert sim.peek() == 0.0
-
-
 def test_cancelled_lane_entry_skipped(sim):
     fired = []
     handle = sim.call_soon(fired.append, "a")

@@ -133,7 +133,7 @@ def test_waited_process_exception_delivered_to_waiter(sim):
 
 def test_yielding_non_waitable_fails_process(sim):
     def bad():
-        yield 42
+        yield "soon"  # neither a waitable nor a delay
 
     outcome = []
 
