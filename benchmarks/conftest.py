@@ -47,14 +47,13 @@ def record_run(path, schema, payload):
     later PRs extend the history instead of erasing it.  The newest
     entry is mirrored under ``latest`` for easy reading.  A flat
     pre-trajectory snapshot (the v1 layout) is migrated into the first
-    trajectory entry, never clobbered.  Callers skip this in smoke mode.
+    trajectory entry, never clobbered.  A corrupt file raises
+    :class:`~repro.experiments.common.CorruptBenchFile` and is left as
+    it is.  Callers skip this in smoke mode.
     """
-    doc = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
+    from repro.experiments.common import read_bench
+
+    doc = read_bench(path)
     trajectory = doc.get("trajectory")
     if not isinstance(trajectory, list):
         trajectory = []

@@ -8,7 +8,10 @@ regressing to overwrite-the-snapshot behavior.
 
 import json
 
+import pytest
+
 from benchmarks.conftest import record_run
+from repro.experiments.common import CorruptBenchFile
 
 
 def test_record_run_appends_not_clobbers(tmp_path):
@@ -40,12 +43,14 @@ def test_record_run_migrates_flat_v1_snapshot(tmp_path):
     assert doc["latest"] is not first
 
 
-def test_record_run_survives_corrupt_file(tmp_path):
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+def test_record_run_refuses_corrupt_file(tmp_path, content):
+    """A history the writer cannot read is never replaced by a new one."""
     path = tmp_path / "BENCH_x.json"
-    path.write_text("{not json")
-    record_run(path, "sysprof-repro/bench-x/v2", {"rate": 7})
-    doc = json.loads(path.read_text())
-    assert [entry["rate"] for entry in doc["trajectory"]] == [7]
+    path.write_text(content)
+    with pytest.raises(CorruptBenchFile, match="BENCH_x.json"):
+        record_run(path, "sysprof-repro/bench-x/v2", {"rate": 7})
+    assert path.read_text() == content
 
 
 def test_federation_cli_writer_appends_same_layout(tmp_path):
@@ -64,11 +69,11 @@ def test_federation_cli_writer_appends_same_layout(tmp_path):
     for entry in doc["trajectory"]:
         assert entry["commit"]
         assert len(entry["date"]) == 10
-    # Corrupt files are survivable, like record_run.
+    # A corrupt file fails loudly and stays untouched, like record_run.
     path.write_text("{not json")
-    record_trajectory(path, BENCH_SCHEMA, {"points": [3]})
-    doc = json.loads(path.read_text())
-    assert [entry["points"] for entry in doc["trajectory"]] == [[3]]
+    with pytest.raises(CorruptBenchFile, match="BENCH_federation.json"):
+        record_trajectory(path, BENCH_SCHEMA, {"points": [3]})
+    assert path.read_text() == "{not json"
 
 
 def test_shared_cli_writer_matches_record_run_layout(tmp_path):

@@ -114,6 +114,36 @@ def git_commit():
     return "unknown"
 
 
+class CorruptBenchFile(ValueError):
+    """A ``BENCH_*.json`` file exists but does not hold a JSON object."""
+
+
+def read_bench(path):
+    """The parsed ``BENCH_*.json`` document at ``path``, ``{}`` if absent.
+
+    A file that does not parse raises :class:`CorruptBenchFile` naming
+    it: a writer must never start a new history over one it could not
+    read.
+    """
+    path = pathlib.Path(path)
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as error:
+        raise CorruptBenchFile(
+            "{}: not valid JSON ({}); refusing to overwrite its history".format(
+                path, error
+            )
+        ) from error
+    if not isinstance(doc, dict):
+        raise CorruptBenchFile(
+            "{}: holds a {}, not a JSON object; refusing to overwrite "
+            "its history".format(path, type(doc).__name__)
+        )
+    return doc
+
+
 def record_trajectory(path, schema, payload):
     """Append one run to a ``BENCH_*.json`` trajectory.
 
@@ -121,16 +151,11 @@ def record_trajectory(path, schema, payload):
     import benchmarks/): an oldest-first ``trajectory`` list with the
     newest entry mirrored under ``latest``, each entry commit- and
     date-stamped.  Shared by every CLI BENCH writer — federation,
-    microbench, calibrate.  Corrupt files are survivable (the history
-    restarts rather than crashing the run).
+    microbench, calibrate.  A corrupt file raises
+    :class:`CorruptBenchFile` and is left as it is.
     """
     path = pathlib.Path(path)
-    doc = {}
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError:
-            doc = {}
+    doc = read_bench(path)
     trajectory = doc.get("trajectory")
     if not isinstance(trajectory, list):
         trajectory = []

@@ -36,6 +36,7 @@ class NfsRunResult:
     network_rtt_ms: float
     causal_paths: int = 0
     trace_hash: str = ""
+    engine_events: int = 0  # events_scheduled by the run's simulator
 
 
 @dataclass
@@ -155,6 +156,7 @@ def run_nfs_experiment(threads_per_client, config=None):
         network_rtt_ms=2.0 * cluster.one_way_latency() * 1e3,
         causal_paths=sum(1 for path in paths if path.downstream),
         trace_hash=trace_digest(sysprof.gpa.query_interactions()),
+        engine_events=cluster.sim.stats()["events_scheduled"],
     )
 
 

@@ -59,6 +59,14 @@ class RubisRunResult:
     servlet_split: dict = field(default_factory=dict)
     monitor_enabled: bool = True
     trace_hash: str = ""
+    engine_events: int = 0  # events_scheduled by the run's simulator
+
+    @property
+    def responses(self):
+        """Completed requests over the whole run, all classes."""
+        return sum(
+            sum(per_servlet.values()) for per_servlet in self.servlet_split.values()
+        )
 
     @property
     def pre_total(self):
@@ -166,6 +174,7 @@ def run_rubis_experiment(scheduler="dwcs", config=None, inject_load=True):
         servlet_split=servlet_split,
         monitor_enabled=config.monitor,
         trace_hash=trace_hash,
+        engine_events=cluster.sim.stats()["events_scheduled"],
     )
 
 

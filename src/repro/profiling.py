@@ -17,10 +17,11 @@ runs one of a small set of representative workloads under
   in ``ui.perfetto.dev`` and passes
   :func:`repro.observability.tracer.validate_chrome_trace`.
 
-Each scenario also defines an *events* count (engine dispatches, sketch
-updates, NFS operations...) so the report carries an events/s headline
-comparable to the ``benchmarks/`` numbers.  Scenarios are deterministic;
-only the timings vary between runs.
+Each scenario reports its engine events (``events_scheduled``) for an
+events/s headline comparable to the ``benchmarks/`` numbers, and a count
+in its own unit (RPCs, responses, sketch updates) beside it; the sketch
+scenario runs no engine, so its events are 0.  Scenarios are
+deterministic; only the timings vary between runs.
 """
 
 import cProfile
@@ -46,7 +47,8 @@ PACKAGES = (
 def _scenario_microbench(smoke):
     """Pure engine churn: the waitable callback chain from the engine
     benchmark plus standing timers — exercises lanes, pool, and the
-    calendar store."""
+    calendar store.  Each scenario returns ``(engine events, domain
+    count)``; here the domain count is the callback chain's length."""
     from repro.sim.engine import Simulator, Waitable
 
     n_events = 20_000 if smoke else 300_000
@@ -68,7 +70,7 @@ def _scenario_microbench(smoke):
     seed.add_callback(tick)
     seed.succeed()
     sim.run(until=5e5)
-    return sim.stats()["events_scheduled"]
+    return sim.stats()["events_scheduled"], fired[0]
 
 
 def _scenario_sketch(smoke):
@@ -88,7 +90,7 @@ def _scenario_sketch(smoke):
         scalar.add(value)
     for q in (0.5, 0.95, 0.99):
         sketch.quantile(q)
-    return sketch.count + scalar.count
+    return 0, sketch.count + scalar.count
 
 
 def _scenario_nfs(smoke):
@@ -100,7 +102,7 @@ def _scenario_nfs(smoke):
         ops_per_thread=4 if smoke else 12, sim_limit=200.0
     )
     result = run_nfs_experiment(2, config=config)
-    return result.rpc_count
+    return result.engine_events, result.rpc_count
 
 
 def _scenario_rubis(smoke):
@@ -114,14 +116,15 @@ def _scenario_rubis(smoke):
     else:
         config = RubisExperimentConfig(duration=8.0)
     result = run_rubis_experiment(scheduler="dwcs", config=config)
-    return int(round(result.pre_total + result.post_total))
+    return result.engine_events, result.responses
 
 
+#: name -> (scenario function, description, unit of its domain count)
 SCENARIOS = {
-    "microbench": (_scenario_microbench, "engine callback-delivery churn"),
-    "sketch": (_scenario_sketch, "quantile sketch batch ingest"),
-    "nfs": (_scenario_nfs, "storage-service end-to-end run"),
-    "rubis": (_scenario_rubis, "RUBiS/DWCS end-to-end run"),
+    "microbench": (_scenario_microbench, "engine callback-delivery churn", "callbacks"),
+    "sketch": (_scenario_sketch, "quantile sketch batch ingest", "sketch updates"),
+    "nfs": (_scenario_nfs, "storage-service end-to-end run", "RPCs"),
+    "rubis": (_scenario_rubis, "RUBiS/DWCS end-to-end run", "responses"),
 }
 
 
@@ -150,16 +153,19 @@ class ProfileReport:
 
     __slots__ = (
         "scenario", "description", "events", "wall_seconds",
-        "events_per_sec", "packages", "hotspots", "total_calls",
+        "events_per_sec", "domain_count", "domain_unit", "packages",
+        "hotspots", "total_calls",
     )
 
     def __init__(self, scenario, description, events, wall_seconds,
-                 packages, hotspots, total_calls):
+                 packages, hotspots, total_calls, domain_count, domain_unit):
         self.scenario = scenario
         self.description = description
-        self.events = events
+        self.events = events  # engine events (events_scheduled)
         self.wall_seconds = wall_seconds
         self.events_per_sec = events / wall_seconds if wall_seconds > 0 else 0.0
+        self.domain_count = domain_count
+        self.domain_unit = domain_unit
         self.packages = packages    # [(name, self_seconds, calls)], sorted
         self.hotspots = hotspots    # [(name, calls, self_s, cum_s)], sorted
         self.total_calls = total_calls
@@ -212,6 +218,8 @@ class ProfileReport:
                 "events": self.events,
                 "wall_seconds": round(self.wall_seconds, 6),
                 "events_per_sec": round(self.events_per_sec),
+                "domain_count": self.domain_count,
+                "domain_unit": self.domain_unit,
             },
         }
 
@@ -222,6 +230,8 @@ class ProfileReport:
             "events": self.events,
             "wall_seconds": round(self.wall_seconds, 6),
             "events_per_sec": round(self.events_per_sec),
+            "domain_count": self.domain_count,
+            "domain_unit": self.domain_unit,
             "total_calls": self.total_calls,
             "packages": [
                 {"package": name, "self_seconds": round(self_s, 6),
@@ -245,7 +255,7 @@ def run_profile(scenario, smoke=False, top=15):
     always complete).
     """
     try:
-        fn, description = SCENARIOS[scenario]
+        fn, description, unit = SCENARIOS[scenario]
     except KeyError:
         raise ValueError(
             "unknown scenario {!r} (choose from {})".format(
@@ -256,7 +266,7 @@ def run_profile(scenario, smoke=False, top=15):
     started = time.perf_counter()
     profiler.enable()
     try:
-        events = fn(smoke)
+        events, domain_count = fn(smoke)
     finally:
         profiler.disable()
     wall = time.perf_counter() - started
@@ -286,7 +296,7 @@ def run_profile(scenario, smoke=False, top=15):
     )
     return ProfileReport(
         scenario, description, events, wall, packages,
-        hotspots[:top], total_calls,
+        hotspots[:top], total_calls, domain_count, unit,
     )
 
 
@@ -318,9 +328,11 @@ def format_report(report):
             title="top {} hotspots".format(len(report.hotspots)),
         ),
         "",
-        "{} events in {:.3f}s under cProfile -> {:,.0f} events/s "
-        "({} calls profiled)".format(
+        "{} engine events in {:.3f}s under cProfile -> {:,.0f} events/s; "
+        "{} {} -> {:,.1f}/s ({} calls profiled)".format(
             report.events, report.wall_seconds, report.events_per_sec,
+            report.domain_count, report.domain_unit,
+            report.domain_count / report.wall_seconds if report.wall_seconds > 0 else 0.0,
             report.total_calls,
         ),
     ]

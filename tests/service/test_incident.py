@@ -19,9 +19,11 @@ HOG_START = 0.75  # absolute simulated time
 HOG_DURATION = 2.0
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def incident():
-    """Run the scripted incident once; yield (supervisor, events)."""
+    """Run the scripted incident once for the whole module; yield
+    (supervisor, events).  The tests only read it; the determinism test
+    runs its own replay."""
     supervisor = Supervisor("nfs", slice_width=0.1)
     client = ServiceClient(supervisor)
     sub = client.subscribe(events=["alert", "anomaly"])

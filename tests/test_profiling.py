@@ -18,6 +18,7 @@ def test_microbench_report_shape():
     report = run_profile("microbench", smoke=True, top=10)
     assert report.scenario == "microbench"
     assert report.events > 20_000  # churn events + standing timers
+    assert report.domain_count == 20_000 and report.domain_unit == "callbacks"
     assert report.wall_seconds > 0.0
     assert report.events_per_sec > 0.0
     assert len(report.hotspots) <= 10
@@ -45,6 +46,8 @@ def test_report_round_trips_through_json():
     back = json.loads(blob)
     assert back["scenario"] == "sketch"
     assert back["events"] == report.events
+    assert back["domain_count"] == report.domain_count
+    assert back["domain_unit"] == "sketch updates"
     assert len(back["hotspots"]) <= 5
     assert {entry["package"] for entry in back["packages"]} == {
         name for name, _secs, _calls in report.packages
@@ -56,7 +59,36 @@ def test_format_report_prints_tables():
     text = format_report(report)
     assert "self time by package" in text
     assert "top 3 hotspots" in text
-    assert "events/s" in text
+    assert "engine events" in text and "events/s" in text
+    assert "{} callbacks".format(report.domain_count) in text
+
+
+def test_nfs_headline_counts_engine_events_and_names_rpcs():
+    """The headline is engine events; RPCs are reported as RPCs."""
+    report = run_profile("nfs", smoke=True, top=3)
+    assert report.domain_unit == "RPCs"
+    assert 0 < report.domain_count < report.events
+    assert report.events_per_sec == report.events / report.wall_seconds
+    assert "{} RPCs".format(report.domain_count) in format_report(report)
+
+
+def test_rubis_domain_count_is_completed_responses():
+    """Not the sum of two resp/s rates, which is what it used to be."""
+    from repro.experiments.rubis_qos import RubisRunResult
+
+    result = RubisRunResult(
+        "dwcs", {"bidding": 10.5}, {"bidding": 3.25}, {}, {},
+        servlet_split={"bidding": {"s1": 4, "s2": 5}, "comment": {"s1": 2}},
+    )
+    assert result.responses == 11
+    assert SCENARIOS["rubis"][2] == "responses"
+
+
+def test_sketch_runs_no_engine_and_counts_updates():
+    report = run_profile("sketch", smoke=True, top=3)
+    assert report.events == 0
+    assert report.domain_unit == "sketch updates"
+    assert report.domain_count == 20 * 5_000 + 5_000
 
 
 def test_unknown_scenario_rejected():
