@@ -872,7 +872,10 @@ class Simulator:
         return True
 
     def step(self):
-        """Process exactly one pending event.  Returns False if none remain."""
+        """Process exactly one pending event.  Returns False if none remain.
+
+        A process resumed inline by the event (``_resumable``) runs within it.
+        """
         return self._step_one()
 
     def run(self, until=None):
