@@ -35,10 +35,7 @@ class WorkItem(Waitable):
     )
 
     def __init__(self, sim, task, amount, mode, band, submitted_at, attribution):
-        # Waitable.__init__, inlined: one of these is made per charge.
-        self.sim = sim
-        self.triggered = False
-        self._callbacks = None
+        Waitable.__init__(self, sim)
         self.task = task
         self.remaining = amount
         self.total = amount

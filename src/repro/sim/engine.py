@@ -23,7 +23,7 @@ Storage is split four ways (``docs/performance.md``):
   ``call_soon()`` / ``schedule(0.0, ...)``;
 * a *delivery lane* of immutable ``(seq, fn, arg)`` tuples for handle-less
   Waitable callback delivery, which most process wakeups skip when
-  :meth:`Simulator._resumable` allows (``sim/process.py``).
+  :meth:`Simulator._claim_resume` allows (``sim/process.py``).
 
 The split is an implementation detail: every entry still carries its
 ``(time, priority, seq)`` key and the dispatch loop always pops the
@@ -748,16 +748,27 @@ class Simulator:
         else:
             self.schedule(0.0, fn, arg)
 
-    def _resumable(self):
-        """True if a delivery-lane entry taken now, ranking ``(now,
-        PRIORITY_NORMAL, newest seq)``, would dispatch next, so its
-        callback may run at once instead.  A cancelled store head only
-        makes this False, which is safe.  Without the fast lane every seq
-        must go through :meth:`schedule`, so it is always False."""
+    def _claim_resume(self):
+        """If a delivery-lane entry taken now would dispatch next, take its
+        seq and return True: its callback may run at once.  Always False
+        without the fast lane, where every seq goes through :meth:`schedule`."""
         if not self._fast or self._dq or self._lanes[0] or self._lanes[1]:
             return False
         head = self._store.head
-        return head is None or head[0] > self.now or head[1] >= PRIORITY_LOW
+        if head is None or head[0] > self.now or head[1] >= PRIORITY_LOW:
+            self._seqn += 1
+            return True
+        return False
+
+    def _timer(self, delay, fn):
+        """Handle-less ``fn(seq)`` after ``delay``; returns the timer's ``seq``."""
+        seq = self._seqn + 1
+        if self._fast:
+            self._seqn = seq
+            self._store.push(self.now + delay, PRIORITY_NORMAL, seq, fn, (seq,))
+        else:
+            self.schedule(delay, fn, seq)
+        return seq
 
     def _note_cancel(self):
         """Count a Handle cancel and let the store run its purge policy."""
@@ -872,10 +883,9 @@ class Simulator:
         return True
 
     def step(self):
-        """Process exactly one pending event.  Returns False if none remain.
+        """Process one pending event (and any process it resumes inline).
 
-        A process resumed inline by the event (``_resumable``) runs within it.
-        """
+        Returns False if none remain."""
         return self._step_one()
 
     def run(self, until=None):
@@ -1013,6 +1023,24 @@ class Simulator:
         """Pure-store reference drain loop (``fast_lane=False``)."""
         store = self._store
         now = self.now
+        if type(store) is HeapStore:
+            # Inlined for parity with the historical single-heap engine.
+            heap = store.heap
+            while True:
+                while heap and heap[0][4] is None:
+                    heappop(heap)
+                if not heap:
+                    break
+                entry = heap[0]
+                when = entry[0]
+                if until is not None and when > until:
+                    break
+                heappop(heap)
+                if when < now:
+                    raise SimError("time went backwards: {} < {}".format(when, now))
+                self.now = now = when
+                entry[4](*entry[3])
+            return
         while True:
             key = store.live_head()
             if key is None:

@@ -1,20 +1,13 @@
 """Generator-based simulation processes.
 
-A process is a Python generator that yields either a
-:class:`~repro.sim.engine.Waitable` or a bare delay (an ``int`` or
-``float`` number of simulated seconds, never a ``bool``).  The process
-suspends until the waitable triggers or the delay elapses.  A waitable's
-success value is sent back into the generator (``x = yield some_waitable``)
-and a failure is raised at the yield point; a delay sends back ``None``,
-exactly like ``yield sim.timeout(delay)``.
-
-A bare delay makes no :class:`~repro.sim.engine.Timeout`, only a
-handle-less timer whose seq is the process's wakeup token.  When it
-fires, or when the process yields an already-triggered waitable, the
-wakeup takes the seq the delivery-lane hop would take and resumes at once
-if nothing pending ranks before it
-(:meth:`~repro.sim.engine.Simulator._resumable`), or else joins the
-delivery lane.  Dispatch order and seqs are those of the waitable path.
+A process is a Python generator that yields :class:`~repro.sim.engine.Waitable`
+instances or bare delays (``int``/``float`` simulated seconds, not ``bool``,
+resumed with ``None`` like ``sim.timeout(delay)``).  It suspends until the
+waitable triggers or the delay elapses; a success value is sent back into
+the generator (``x = yield some_waitable``) and a failure is raised at the
+yield point.  A bare delay is a handle-less timer whose seq is the wakeup
+token; a wakeup resumes inline when the engine's ``_claim_resume`` allows,
+keeping the dispatch order and seqs of the waitable path.
 
 Processes are themselves waitables: they trigger with the generator's
 return value, or fail with its uncaught exception.  A process blocked on
@@ -25,7 +18,7 @@ preemptive CPU scheduling.
 
 import types
 
-from repro.sim.engine import PRIORITY_NORMAL, Waitable
+from repro.sim.engine import Waitable
 from repro.sim.errors import Interrupt, SimError
 
 
@@ -48,8 +41,7 @@ class Process(Waitable):
         sim._soon1(self._start, None)
 
     def __repr__(self):
-        waiting = self._target is not None or self._token is not None
-        state = "done" if self.triggered else ("waiting" if waiting else "new")
+        state = "done" if self.triggered else ("waiting" if self._target or self._token else "new")
         return "<Process {} [{}]>".format(self.name, state)
 
     @property
@@ -80,9 +72,7 @@ class Process(Waitable):
                 self.fail(exc)
                 return
             if isinstance(target, Waitable):
-                if target.triggered and sim._resumable():
-                    # Take the seq the callback hop would, and resume now.
-                    sim._seqn += 1
+                if target.triggered and sim._claim_resume():
                     if target._ok:
                         send_value, throw_exc = target._value, None
                     else:
@@ -96,12 +86,7 @@ class Process(Waitable):
             elif target < 0:
                 problem = "a negative delay"
             else:
-                seq = self._token = sim._seqn + 1
-                if sim._fast:  # handle-less; the timer passes its seq back
-                    sim._seqn = seq
-                    sim._store.push(sim.now + target, PRIORITY_NORMAL, seq, self._wake, (seq,))
-                else:
-                    sim.schedule(target, self._wake, seq)
+                self._token = sim._timer(target, self._wake)
                 return
             gen.close()
             self.fail(SimError("process {} yielded {}: {!r}".format(self.name, problem, target)))
@@ -120,13 +105,11 @@ class Process(Waitable):
         """Timer fire of a bare delay: resume now, or queue the resume."""
         if token != self._token:
             return  # stale timer after an interrupt
-        sim = self.sim
-        if sim._resumable():
-            sim._seqn += 1
+        if self.sim._claim_resume():
             self._token = None
             self._advance()
         else:
-            sim._soon1(self._resume, token)
+            self.sim._soon1(self._resume, token)
 
     def _resume(self, token):
         if token == self._token:
