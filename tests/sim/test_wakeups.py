@@ -222,3 +222,28 @@ def test_bools_and_other_non_waitables_fail_the_process(sim, value):
     assert isinstance(proc.value, SimError)
     assert "non-waitable" in str(proc.value)
     assert sim.stats()["events_scheduled"] == 1  # the start; no timer
+
+
+def test_without_fast_lane_every_seq_goes_through_schedule(monkeypatch):
+    """The reference path never resumes inline: each wakeup is a scheduled
+    event, so ``schedule`` calls match ``events_scheduled`` exactly."""
+    calls = [0]
+    schedule = Simulator.schedule
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "schedule", counting)
+    sim = Simulator(fast_lane=False)
+
+    def worker():
+        for delay in (1, 0.5, 0):
+            yield delay
+            value = yield sim.waitable().succeed(delay)
+            assert value == delay
+
+    sim.process(worker())
+    sim.run()
+    assert sim.now == 1.5
+    assert calls[0] == sim.stats()["events_scheduled"] == 10  # start + 3 x (timer, hop, hop)
